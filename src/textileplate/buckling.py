@@ -23,6 +23,7 @@ from .plate import (
     LoadSpec,
     PlateMesh,
     PlateState,
+    hermite_1d,
     minimize_vk,
     solve_linear,
     _perturbation_mode,
@@ -101,30 +102,13 @@ class ReducedBeam:
         if n_elements < 8:
             raise ParameterError("reduced solver needs at least 8 elements")
         self.case = case
-        self.n = n_elements
         self.h = case.L / n_elements
         self.x = np.linspace(0.0, case.L, n_elements + 1)
         self.ndof = 2 * (n_elements + 1)
         t, w = GAUSS5
-        h = self.h
         # rows: dof order per element (v0, v0', v1, v1')
-        self.B1 = np.column_stack(
-            [
-                (-6 * t + 6 * t**2) / h,
-                1 - 4 * t + 3 * t**2,
-                (6 * t - 6 * t**2) / h,
-                -2 * t + 3 * t**2,
-            ]
-        )
-        self.B2 = np.column_stack(
-            [
-                (-6 + 12 * t) / h**2,
-                (-4 + 6 * t) / h,
-                (6 - 12 * t) / h**2,
-                (-2 + 6 * t) / h,
-            ]
-        )
-        self.wq = w * h
+        _, self.B1, self.B2 = hermite_1d(t, self.h)
+        self.wq = w * self.h
         free = np.ones(self.ndof, dtype=bool)
         free[[0, 1, -2, -1]] = False  # clamped ends: v = v' = 0
         self.free = free
@@ -162,9 +146,8 @@ class ReducedBeam:
         he = np.einsum("eq,qi,qj,q->eij", d1, self.B1, self.B1, self.wq)
         he += 2.0 * c * np.einsum("qi,qj,q->ij", self.B2, self.B2, self.wq)[None]
         H = np.zeros((self.ndof, self.ndof))
-        for e in range(self.n):
-            dofs = self.edof[e]
-            H[np.ix_(dofs, dofs)] += 0.5 * L * he[e]
+        edof = self.edof
+        np.add.at(H, (edof[:, :, None], edof[:, None, :]), 0.5 * L * he)
         return H
 
     def interpolate(self, fn, dfn):

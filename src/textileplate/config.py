@@ -163,7 +163,7 @@ class RunConfig:
         for tag, entries in raw.items():
             key = tag if tag == "default" else int(tag)
             table[key] = np.array(entries, dtype=float)
-        return ElasticTensor.general(table)
+        return ElasticTensor(table)
 
     def weave_params(self):
         from .geometry import WeaveParams

@@ -76,19 +76,12 @@ class ElasticTensor:
     def from_young_poisson(cls, E, nu):
         return cls.isotropic(*lame_from_young_poisson(E, nu))
 
-    @classmethod
-    def general(cls, table):
-        return cls(table)
-
     def for_tag(self, tag):
         if tag in self.table:
             return self.table[tag]
         if "default" in self.table:
             return self.table["default"]
         raise ParameterError(f"no material for tag {tag}")
-
-    def tags_used(self, material_tag):
-        return sorted(set(int(t) for t in np.unique(material_tag)))
 
 
 def quadratic_form(tensor, S, tag=0):
@@ -398,21 +391,37 @@ def solve(system, rhs=None, tol=1e-10, max_iter=50000):
     return system.expand(x), info
 
 
-def strain_and_stress(mesh, tensor, field):
-    """Symmetric strain e(u) and stress a:e(u) at every quadrature point."""
+def strain_field(mesh, u, alpha=None):
+    """Symmetric strain e(u) at every quadrature point, (ne, nq, 3, 3).
+
+    `alpha` holds the per-element internal strain dofs of the enhanced
+    element (`SparseSystem.recover_alpha`); when given, their modes are added.
+    """
     quad = mesh.quad_data()
-    u = np.asarray(field, dtype=float).reshape(mesh.n_nodes, 3)
-    ue = u[mesh.hexes]  # (e, a, i)
+    ue = np.asarray(u, dtype=float).reshape(mesh.n_nodes, 3)[mesh.hexes]  # (e, a, i)
     grad = np.einsum("eqaj,eai->eqij", quad.grads, ue)
     strain = 0.5 * (grad + grad.transpose(0, 1, 3, 2))
-    stress = np.empty_like(strain)
+    if alpha is not None:
+        strain = strain + enhanced_strain_field(mesh, alpha)
+    return strain
+
+
+def stress_field(mesh, tensor, strain):
+    """Stress a:S of a quadrature-point strain field, material by material."""
+    stress = np.empty(strain.shape)
     tags = np.asarray(mesh.material_tag)
     for tag in np.unique(tags):
         sel = tags == tag
         stress[sel] = np.einsum(
             "ijkl,eqkl->eqij", tensor.for_tag(int(tag)), strain[sel]
         )
-    return strain, stress
+    return stress
+
+
+def strain_and_stress(mesh, tensor, field):
+    """Symmetric strain e(u) and stress a:e(u) at every quadrature point."""
+    strain = strain_field(mesh, field)
+    return strain, stress_field(mesh, tensor, strain)
 
 
 def elastic_energy(mesh, tensor, field):

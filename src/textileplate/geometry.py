@@ -243,7 +243,7 @@ def _structured_hexes(na, nb, nc):
     )
 
 
-def _yarn_block_nodes(direction, offset, sig, axial, cross, thick, kappa, wrap):
+def _yarn_block_nodes(direction, index, axial, cross, thick, kappa):
     """World nodes of one structured yarn block in cell coordinates.
 
     Grid axes are ordered (x, y, height) in world orientation so the hex
@@ -256,19 +256,7 @@ def _yarn_block_nodes(direction, offset, sig, axial, cross, thick, kappa, wrap):
     else:
         A, B, C = np.meshgrid(cross, axial, thick, indexing="ij")
         w, s, t = A.ravel(), B.ravel(), C.ravel()
-    h = sig * profile(s, kappa)
-    hp = sig * profile_slope(s, kappa)
-    den = np.sqrt(1.0 + hp**2)
-    out = np.empty((s.size, 3))
-    lateral = offset + w + (2.0 if wrap else 0.0)
-    if direction == 1:
-        out[:, 0] = s + t * (-hp / den)
-        out[:, 1] = lateral
-    else:
-        out[:, 0] = lateral
-        out[:, 1] = s + t * (-hp / den)
-    out[:, 2] = h + t / den
-    return out
+    return yarn_map(direction, index, np.column_stack([s, w, t]), WeaveParams(kappa=kappa))
 
 
 def _merge_coincident(nodes, tol):
@@ -353,21 +341,21 @@ def build_cell_mesh(params: WeaveParams) -> CellMesh:
     cross_hi = np.linspace(0.0, kappa, n_flat + 1)
     thick = np.linspace(-kappa, kappa, n_thick + 1)
 
-    blocks = []  # (direction, offset, sig, cross, wrap, tag)
+    # (direction, yarn index, cross grid, tag). The yarn centered on the cell
+    # boundary is built as two half-blocks so every element stays inside
+    # (0,2)^2: its upper half-width at index 0 and its lower half-width as
+    # the same-phase yarn index 2
+    blocks = []
     for direction in (1, 2):
-        for q in (0, 1):
-            sig = _midline_sign(direction, q)
-            tag = (direction - 1) * 2 + q
-            if q == 0:
-                blocks.append((direction, 0.0, sig, cross_hi, False, tag))
-                blocks.append((direction, 0.0, sig, cross_lo, True, tag))
-            else:
-                blocks.append((direction, 1.0, sig, cross_full, False, tag))
+        tag = (direction - 1) * 2
+        blocks.append((direction, 0, cross_hi, tag))
+        blocks.append((direction, 2, cross_lo, tag))
+        blocks.append((direction, 1, cross_full, tag + 1))
 
     all_nodes, all_hexes, all_tags = [], [], []
     offset = 0
-    for direction, off, sig, cross, wrap, tag in blocks:
-        nodes = _yarn_block_nodes(direction, off, sig, axial, cross, thick, kappa, wrap)
+    for direction, index, cross, tag in blocks:
+        nodes = _yarn_block_nodes(direction, index, axial, cross, thick, kappa)
         if direction == 1:
             hexes = _structured_hexes(len(axial) - 1, len(cross) - 1, len(thick) - 1)
         else:
@@ -487,13 +475,14 @@ def build_textile_mesh(params: WeaveParams) -> CellMesh:
     return mesh
 
 
-def symmetry_maps():
-    """Point maps of the cell under which the weave is invariant."""
-    return {
-        "reflect_y1": lambda y: np.column_stack([2.0 - y[:, 0], y[:, 1], y[:, 2]]),
-        "reflect_y2": lambda y: np.column_stack([y[:, 0], 2.0 - y[:, 1], y[:, 2]]),
-        "swap_flip": lambda y: np.column_stack([y[:, 1], y[:, 0], -y[:, 2]]),
-    }
+# Point maps of the cell under which the weave is invariant (images are
+# taken modulo the period 2 in y1 and y2).
+SYMMETRY_MAPS = {
+    "reflect_y1": lambda y: np.column_stack([2.0 - y[:, 0], y[:, 1], y[:, 2]]),
+    "reflect_y2": lambda y: np.column_stack([y[:, 0], 2.0 - y[:, 1], y[:, 2]]),
+    "swap_flip": lambda y: np.column_stack([y[:, 1], y[:, 0], -y[:, 2]]),
+    "quarter_turn": lambda y: np.column_stack([1.0 - y[:, 1], y[:, 0], y[:, 2]]),
+}
 
 
 def check_cell_mesh(mesh: CellMesh) -> dict:
@@ -530,7 +519,7 @@ def check_cell_mesh(mesh: CellMesh) -> dict:
 
     if mesh.kind == "cell":
         worst = 0.0
-        for name, mapping in symmetry_maps().items():
+        for mapping in SYMMETRY_MAPS.values():
             mapped = mapping(mesh.nodes)
             mapped[:, 0] %= 2.0
             mapped[:, 1] %= 2.0

@@ -24,10 +24,12 @@ from .elasticity import (
     ConstraintMap,
     EigenstrainLoad,
     assemble,
-    enhanced_strain_field,
     solve,
+    strain_field,
+    stress_field,
 )
 from .errors import GeometryError, ParameterError
+from .geometry import SYMMETRY_MAPS
 from .hexes import node_integration_weights
 
 M11 = np.array([[1.0, 0, 0], [0, 0, 0], [0, 0, 0]])
@@ -107,27 +109,22 @@ def _embed(m2):
     return out
 
 
-def solve_cell_problems(mesh, tensor, cg_tol=1e-10, zero_loads=False):
+def solve_cell_problems(mesh, tensor, cg_tol=1e-10):
     """Solve the six periodic zero-mean cell problems on the weave cell.
 
     Membrane corrector for (a,b) solves
         < a (M^ab + e(chi)) : e(w) > = 0  for all periodic zero-mean w,
     the bending corrector the same with -y3*M^ab in place of M^ab.
-    `zero_loads` is a debug mode replacing every unit strain by zero.
     """
     constraints = ConstraintMap.periodic(mesh, mean_zero=True)
-    loads = []
-    for a, b in PAIRS:
-        M = np.zeros((3, 3)) if zero_loads else -UNIT_STRAINS[(a, b)]
-        loads.append(EigenstrainLoad(M))
+    loads = [EigenstrainLoad(-UNIT_STRAINS[p]) for p in PAIRS]
     for a, b in PAIRS:
         M = UNIT_STRAINS[(a, b)]
 
         def bending(points, M=M):
             out = np.zeros(points.shape[:-1] + (3, 3))
-            if not zero_loads:
-                out[:] = M
-                out *= points[..., 2][..., None, None]
+            out[:] = M
+            out *= points[..., 2][..., None, None]
             return out
 
         loads.append(EigenstrainLoad(bending))
@@ -148,32 +145,15 @@ def solve_cell_problems(mesh, tensor, cg_tol=1e-10, zero_loads=False):
     )
 
 
-def _corrector_strains(mesh, fields, alphas=None):
-    quad = mesh.quad_data()
-    out = {}
-    for key, u in fields.items():
-        ue = u[mesh.hexes]
-        grad = np.einsum("eqaj,eai->eqij", quad.grads, ue)
-        strain = 0.5 * (grad + grad.transpose(0, 1, 3, 2))
-        if alphas and key in alphas:
-            strain = strain + enhanced_strain_field(mesh, alphas[key])
-        out[key] = strain
-    return out, quad
-
-
-def _stress_of(mesh, tensor, strain_field):
-    tags = np.asarray(mesh.material_tag)
-    out = np.empty_like(strain_field)
-    for tag in np.unique(tags):
-        sel = tags == tag
-        out[sel] = np.einsum("ijkl,eqkl->eqij", tensor.for_tag(int(tag)), strain_field[sel])
-    return out
+def _corrector_strains(mesh, fields, alphas):
+    return {key: strain_field(mesh, u, alphas.get(key)) for key, u in fields.items()}
 
 
 def compute_plate_tensors(correctors, tensor):
     """Energy-form homogenized tensors plus linear-form diagnostics."""
     mesh = correctors.mesh
-    strains, quad = _corrector_strains(mesh, correctors.fields(), correctors.alphas)
+    strains = _corrector_strains(mesh, correctors.fields(), correctors.alphas)
+    quad = mesh.quad_data()
     vol = quad.volume
     y3 = quad.points[..., 2]
 
@@ -184,9 +164,9 @@ def compute_plate_tensors(correctors, tensor):
         total_b[(a, b)] = strains[f"chi_b_{a}{b}"] - y3[..., None, None] * M
         unit_bend[(a, b)] = y3[..., None, None] * np.broadcast_to(M, total_m[(a, b)].shape)
 
-    stress_m = {p: _stress_of(mesh, tensor, total_m[p]) for p in PAIRS}
-    stress_b = {p: _stress_of(mesh, tensor, total_b[p]) for p in PAIRS}
-    stress_yM = {p: _stress_of(mesh, tensor, np.ascontiguousarray(unit_bend[p])) for p in PAIRS}
+    stress_m = {p: stress_field(mesh, tensor, total_m[p]) for p in PAIRS}
+    stress_b = {p: stress_field(mesh, tensor, total_b[p]) for p in PAIRS}
+    stress_yM = {p: stress_field(mesh, tensor, unit_bend[p]) for p in PAIRS}
 
     def inner(S, F):
         return float(np.einsum("eqij,eqij,eq->", S, F, quad.wdet)) / vol
@@ -272,45 +252,29 @@ def check_orthotropy(tensors, tol=1e-6):
 
 # Corrector transformation rules under the cell symmetries: each relation is
 # (point map, component permutation, component signs, field -> (field, sign)).
-def _map_reflect1(y):
-    return np.column_stack([2.0 - y[:, 0], y[:, 1], y[:, 2]])
-
-
-def _map_reflect2(y):
-    return np.column_stack([y[:, 0], 2.0 - y[:, 1], y[:, 2]])
-
-
-def _map_swap_flip(y):
-    return np.column_stack([y[:, 1], y[:, 0], -y[:, 2]])
-
-
-def _map_rot(y):
-    return np.column_stack([1.0 - y[:, 1], y[:, 0], y[:, 2]])
-
-
 SYMMETRY_RELATIONS = {
     "reflect1_bending": {
-        "map": _map_reflect1,
+        "map": SYMMETRY_MAPS["reflect_y1"],
         "perm": (0, 1, 2),
         "signs": (-1.0, 1.0, 1.0),
         "relations": [("chi_b_11", "chi_b_11", 1.0), ("chi_b_22", "chi_b_22", 1.0),
                       ("chi_b_12", "chi_b_12", -1.0)],
     },
     "reflect2_bending": {
-        "map": _map_reflect2,
+        "map": SYMMETRY_MAPS["reflect_y2"],
         "perm": (0, 1, 2),
         "signs": (1.0, -1.0, 1.0),
         "relations": [("chi_b_11", "chi_b_11", 1.0), ("chi_b_22", "chi_b_22", 1.0),
                       ("chi_b_12", "chi_b_12", -1.0)],
     },
     "swap_flip_bending": {
-        "map": _map_swap_flip,
+        "map": SYMMETRY_MAPS["swap_flip"],
         "perm": (1, 0, 2),
         "signs": (1.0, 1.0, -1.0),
         "relations": [("chi_b_11", "chi_b_22", -1.0), ("chi_b_12", "chi_b_12", -1.0)],
     },
     "quarter_turn_bending": {
-        "map": _map_rot,
+        "map": SYMMETRY_MAPS["quarter_turn"],
         "perm": (1, 0, 2),
         "signs": (1.0, -1.0, 1.0),
         "relations": [("chi_b_11", "chi_b_22", 1.0)],
@@ -376,15 +340,16 @@ def solve_prestress(mesh, tensor, e_star, correctors=None, tensors=None, cg_tol=
     chi_p = chi_p_flat.reshape(-1, 3)
     alpha_p = system.recover_alpha(chi_p_flat, rhs_index=0)
 
-    strains, quad = _corrector_strains(
+    strains = _corrector_strains(
         mesh,
         {**correctors.fields(), "chi_p": chi_p},
         {**correctors.alphas, "chi_p": alpha_p},
     )
+    quad = mesh.quad_data()
     vol = quad.volume
     y3 = quad.points[..., 2]
     estar_field = np.broadcast_to(e_star, strains["chi_p"].shape)
-    sig_star = _stress_of(mesh, tensor, np.ascontiguousarray(estar_field))
+    sig_star = stress_field(mesh, tensor, estar_field)
 
     def weigh(field):
         return float(np.einsum("eqij,eqij,eq->", sig_star, field, quad.wdet)) / vol

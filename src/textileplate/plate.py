@@ -32,7 +32,7 @@ GAUSS_1D = (
 N_DOF_NODE = 6  # [u1, u2, w, wx, wy, wxy]
 
 
-def _hermite_1d(t, h):
+def hermite_1d(t, h):
     """Cubic Hermite rows (value, x-derivative, 2nd derivative) on [0, h]."""
     t = np.asarray(t)
     val = np.column_stack(
@@ -116,8 +116,8 @@ class PlateMesh:
             return self._tables
         tq, wq = GAUSS_1D
         hx, hy = self.hx, self.hy
-        Hx_v, Hx_d, Hx_dd = _hermite_1d(tq, hx)
-        Hy_v, Hy_d, Hy_dd = _hermite_1d(tq, hy)
+        Hx_v, Hx_d, Hx_dd = hermite_1d(tq, hx)
+        Hy_v, Hy_d, Hy_dd = hermite_1d(tq, hy)
         nq = len(tq) ** 2
         N = np.empty((nq, 4))
         dNx = np.empty((nq, 4))

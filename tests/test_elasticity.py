@@ -67,7 +67,7 @@ class TestElasticTensor:
         a = isotropic_tensor(1.0, 1.0)
         a[0, 1, 2, 2] += 1e-3  # break minor symmetry
         with pytest.raises(ParameterError):
-            ElasticTensor.general({"default": a})
+            ElasticTensor({"default": a})
 
     def test_positive_definiteness(self):
         with pytest.raises(ParameterError):
@@ -240,7 +240,7 @@ class TestStrainStress:
         a_id = 0.5 * (
             np.einsum("ik,jl->ijkl", I, I) + np.einsum("il,jk->ijkl", I, I)
         )
-        t = ElasticTensor.general({"default": 2.0 * a_id})  # W = e:e
+        t = ElasticTensor({"default": 2.0 * a_id})  # W = e:e
         rng = np.random.default_rng(7)
         u = rng.standard_normal(3 * mesh.n_nodes)
         system = assemble(mesh, t, enhanced=False)
