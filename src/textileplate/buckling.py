@@ -294,7 +294,9 @@ def sweep_buckling_2d(tensors, L, e_star_values, nx=16, ny=16, newton_tol=1e-9,
     """Drive the 2D plate across a compressive strain range.
 
     For every e* the flat (in-plane, linear) branch and the full nonlinear
-    minimizer are computed; buckling is detected on max|W| > detect_rel*L.
+    minimizer are computed; a point is buckled when max|W| > detect_rel*L
+    and its energy lies below the flat branch, in the rows and in the
+    bisection alike.
     The critical strain is located by bisection inside the given range and
     compared against the analytic bounds (violations are reported in the
     summary, never clipped). All rows carry the membrane convention label
@@ -303,8 +305,10 @@ def sweep_buckling_2d(tensors, L, e_star_values, nx=16, ny=16, newton_tol=1e-9,
     mesh = PlateMesh(nx, ny, L)
     case0 = CompressionCase.from_tensors(0.0, L, tensors)
     necessary, test_mode = analytic_thresholds(case0)
+    unconverged = 0
 
     def run_point(es):
+        nonlocal unconverged
         bc = Compression(es)
         flat_state, e_flat = solve_linear(
             mesh, tensors, LoadSpec(), bc, return_energy=True
@@ -319,13 +323,18 @@ def sweep_buckling_2d(tensors, L, e_star_values, nx=16, ny=16, newton_tol=1e-9,
             flat_state, tensors, LoadSpec(), bc, newton_tol=newton_tol,
             extra_starts=extra,
         )
+        unconverged += best.saddle_checks_unconverged
         return e_flat, best
+
+    def is_buckled(best, e_flat):
+        return (best.max_abs_w() > detect_rel * L
+                and best.energy < e_flat - 1e-12 * (1 + abs(e_flat)))
 
     rows = []
     for es in e_star_values:
         e_flat, best = run_point(es)
         u3 = best.max_abs_w()
-        buck = u3 > detect_rel * L and best.energy < e_flat - 1e-12 * (1 + abs(e_flat))
+        buck = is_buckled(best, e_flat)
         rows.append(
             dict(
                 e_star=float(es),
@@ -347,8 +356,8 @@ def sweep_buckling_2d(tensors, L, e_star_values, nx=16, ny=16, newton_tol=1e-9,
         a, b = lo, hi
         while (b - a) > 0.01 * b:
             mid = 0.5 * (a + b)
-            _, best = run_point(mid)
-            if best.max_abs_w() > detect_rel * L:
+            e_flat, best = run_point(mid)
+            if is_buckled(best, e_flat):
                 b = mid
             else:
                 a = mid
@@ -375,6 +384,7 @@ def sweep_buckling_2d(tensors, L, e_star_values, nx=16, ny=16, newton_tol=1e-9,
         bracket_violation=bracket_violation,
         grid=[nx, ny],
         convention="half",
+        saddle_checks_unconverged=unconverged,
     )
     if csv_path:
         with open(csv_path, "w") as fh:

@@ -6,6 +6,7 @@ error, 5 acceptance-check failure. Data files never contain timestamps so
 repeated runs are bitwise identical.
 """
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -83,6 +84,18 @@ def _homogenize(cfg, args):
     return mesh, tensor, correctors, tensors
 
 
+def _input_digest(cfg, args, tensor):
+    """sha256 of exactly the inputs `_homogenize` reads: kappa, resolution,
+    the stiffness table by content, cg_tol and --solid-cell."""
+    h = hashlib.sha256()
+    keys = [cfg.kappa, list(cfg.resolution), cfg.cg_tol, bool(args.solid_cell)]
+    h.update(json.dumps(keys).encode())
+    for tag in sorted(tensor.table, key=str):
+        h.update(str(tag).encode())
+        h.update(tensor.table[tag].tobytes())
+    return h.hexdigest()
+
+
 def cmd_homog(cfg, args, out):
     mesh, tensor, correctors, tensors = _homogenize(cfg, args)
     tol = args.tol if args.tol else 1e-6
@@ -102,6 +115,7 @@ def cmd_homog(cfg, args, out):
         "symmetry_report": symmetry_report,
         "kappa": cfg.kappa,
         "mesh_kind": mesh.kind,
+        "input_digest": _input_digest(cfg, args, tensor),
     }
     if cfg.prestress_e_star is not None:
         chi_p, eff, info = solve_prestress(
@@ -146,12 +160,16 @@ def cmd_homog(cfg, args, out):
 
 
 def _load_or_compute_tensors(cfg, args, out):
+    """Reuse out/tensors.json only when its input digest matches this run;
+    otherwise homogenize again and overwrite it."""
     path = out / "tensors.json"
+    digest = _input_digest(cfg, args, cfg.elastic_tensor())
     if path.exists():
-        with open(path) as fh:
-            return tensors_from_json(fh.read())
+        text = path.read_text()
+        if json.loads(text).get("input_digest") == digest:
+            return tensors_from_json(text)
     _, _, _, tensors = _homogenize(cfg, args)
-    _write(path, tensors_to_json(tensors) + "\n")
+    _write(path, tensors_to_json(tensors, {"input_digest": digest}) + "\n")
     return tensors
 
 
@@ -170,11 +188,13 @@ def cmd_plate(cfg, args, out):
     if cfg.plate_model == "linear":
         state, energy = pl.solve_linear(mesh, tensors, load, bc, return_energy=True)
         trace = [energy]
+        unconverged = 0  # the linear solve runs no saddle check
     else:
         state = pl.minimize_vk(
             pl.PlateState(mesh), tensors, load, bc, newton_tol=cfg.newton_tol
         )
         energy, trace = state.energy, state.newton_trace
+        unconverged = state.saddle_checks_unconverged
     doc = {
         "model": cfg.plate_model,
         "bc": cfg.plate_bc,
@@ -184,6 +204,7 @@ def cmd_plate(cfg, args, out):
         "u2_norm": float(np.linalg.norm(state.u2)),
         "convergence_trace": trace,
         "grid": [cfg.plate_nx, cfg.plate_ny],
+        "saddle_checks_unconverged": unconverged,
     }
     _write(out / "plate.json", _json_text(doc))
     pl.write_plate_vtk(out / "plate.vtk", mesh, state)

@@ -497,15 +497,20 @@ def _perturbation_mode(mesh, bc, amplitude):
     return w
 
 
-def _escape_negative_curvature(op, u, free, energy):
+def _escape_negative_curvature(op, u, free, energy, stats):
     """If the converged point is a saddle, step along the most negative
-    Hessian direction (both signs tried, step grown while it helps)."""
+    Hessian direction (both signs tried, step grown while it helps).
+
+    An eigensolve that does not converge means no escape; it is counted in
+    stats["saddle_checks_unconverged"].
+    """
     H = op.hessian(u)[np.ix_(free, free)].tocsc()
     scale = abs(H.diagonal()).max()
+    v0 = np.ones(H.shape[0])
     try:
-        v0 = np.ones(H.shape[0])
         lam, vec = spla.eigsh(H, k=1, which="SA", v0=v0, maxiter=2000, tol=1e-6)
-    except Exception:
+    except spla.ArpackNoConvergence:
+        stats["saddle_checks_unconverged"] += 1
         return None
     if lam[0] >= -1e-8 * scale:
         return None
@@ -527,12 +532,13 @@ def _escape_negative_curvature(op, u, free, energy):
     return best
 
 
-def _newton(op, u0, free, tol, max_iter=200):
+def _newton(op, u0, free, tol, stats, max_iter=200):
     """Damped Newton with Armijo backtracking; returns (u, energy, trace).
 
     Converged critical points are checked for negative curvature and, if a
     descent direction remains, the iteration restarts from the escaped
-    point, so only (local) minimizers are returned.
+    point, so only (local) minimizers are returned. Saddle checks whose
+    eigensolve does not converge are counted in `stats`.
     """
     u = u0.copy()
     energy = op.energy(u)
@@ -545,7 +551,7 @@ def _newton(op, u0, free, tol, max_iter=200):
         gn = float(np.linalg.norm(g[free]))
         if gn <= tol * (1.0 + abs(energy)):
             if escapes < 6:
-                escaped = _escape_negative_curvature(op, u, free, energy)
+                escaped = _escape_negative_curvature(op, u, free, energy, stats)
                 if escaped is not None:
                     energy, u = escaped
                     trace.append(energy)
@@ -588,7 +594,10 @@ def _newton(op, u0, free, tol, max_iter=200):
         if not accepted:
             # stagnated line search: accept convergence if gradient is tiny
             if gn <= 100 * tol * (1.0 + abs(energy)):
-                escaped = _escape_negative_curvature(op, u, free, energy) if escapes < 6 else None
+                escaped = (
+                    _escape_negative_curvature(op, u, free, energy, stats)
+                    if escapes < 6 else None
+                )
                 if escaped is not None:
                     energy, u = escaped
                     trace.append(energy)
@@ -619,6 +628,8 @@ def minimize_vk(initial, tensors, load=None, bc=None, newton_tol=1e-9,
     admissible bending perturbation; returns the lowest-energy converged
     state (ties resolved toward the earlier start). `extra_starts` may add
     further initial dof vectors (e.g. amplitude-seeded buckling modes).
+    The returned state carries `saddle_checks_unconverged`, the number of
+    saddle checks over all starts whose eigensolve did not converge.
     """
     bc = bc if bc is not None else GammaClamped()
     mesh = initial.mesh
@@ -636,9 +647,10 @@ def minimize_vk(initial, tensors, load=None, bc=None, newton_tol=1e-9,
         starts.append(apply_bc(PlateState(mesh, vec.copy()), bc).u)
 
     results, failures = [], []
+    stats = {"saddle_checks_unconverged": 0}
     for u0 in starts:
         try:
-            u, energy, trace = _newton(op, u0, free, newton_tol, max_iter)
+            u, energy, trace = _newton(op, u0, free, newton_tol, stats, max_iter)
             results.append((energy, u, trace))
         except SolverError as err:
             failures.append(str(err))
@@ -651,6 +663,7 @@ def minimize_vk(initial, tensors, load=None, bc=None, newton_tol=1e-9,
             state = PlateState(mesh, u)
             state.energy = energy
             state.newton_trace = trace
+            state.saddle_checks_unconverged = stats["saddle_checks_unconverged"]
             return state
     raise AssertionError("unreachable")
 

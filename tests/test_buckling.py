@@ -118,6 +118,24 @@ class TestTestMode:
 
 
 class TestReduced1D:
+    def test_derivatives_match_finite_differences(self):
+        case = CompressionCase(e_star=0.3, L=1.0, a11=1.2, c11=0.05)
+        beam = ReducedBeam(case, 16)
+        u = 0.05 * np.random.default_rng(0).standard_normal(beam.ndof)
+        h = 1e-6
+        steps = h * np.eye(beam.ndof)
+        g_fd = np.array(
+            [(beam.energy(u + d) - beam.energy(u - d)) / (2 * h) for d in steps]
+        )
+        H_fd = np.column_stack(
+            [(beam.gradient(u + d) - beam.gradient(u - d)) / (2 * h) for d in steps]
+        )
+        g = beam.gradient(u)
+        H = beam.hessian(u)
+        assert np.abs(g - g_fd).max() <= 1e-6 * np.abs(g).max()
+        assert np.abs(H - H_fd).max() <= 1e-6 * np.abs(H).max()
+        assert np.array_equal(H, H.T)
+
     def test_flat_below_necessary(self, unit_case):
         nec, _ = analytic_thresholds(unit_case)
         case = CompressionCase(0.4 * nec, np.pi, 1.0, 1.0)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from textileplate import cli
 from textileplate.cli import main
 from textileplate.config import parse_config
 from textileplate.errors import ConfigError
@@ -160,6 +161,29 @@ class TestPlateCommand:
         far = nodes[:, 1] > 0.75
         near = nodes[:, 1] < 0.25
         assert w[far].max() > 10 * w[near].max()
+
+
+class TestTensorsCache:
+    def test_changed_kappa_recomputes(self, tmp_path):
+        homog_cfg = write_cfg(tmp_path, BASE, "homog.cfg")
+        plate_cfg = write_cfg(tmp_path, BASE.replace("kappa = 0.1", "kappa = 0.15"))
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        assert main(["homog", "--config", homog_cfg, "--out", str(shared)]) == 0
+        assert main(["plate", "--config", plate_cfg, "--out", str(shared)]) == 0
+        assert main(["plate", "--config", plate_cfg, "--out", str(fresh)]) == 0
+        energy = [json.loads((d / "plate.json").read_text())["energy"] for d in (shared, fresh)]
+        assert energy[0] == energy[1]
+
+    def test_plate_keys_reuse_tensors(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert main(["homog", "--config", write_cfg(tmp_path, BASE), "--out", str(out)]) == 0
+
+        def no_homogenization(*args):
+            raise AssertionError("tensors.json was not reused")
+
+        monkeypatch.setattr(cli, "_homogenize", no_homogenization)
+        plate_cfg = write_cfg(tmp_path, BASE.replace("plate.nx = 8", "plate.nx = 6"), "p.cfg")
+        assert main(["plate", "--config", plate_cfg, "--out", str(out)]) == 0
 
 
 class TestPrestressPipeline:

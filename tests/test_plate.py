@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from textileplate.homogenize import PlateTensors, _tensor_from_matrix
 from textileplate.plate import (
@@ -325,6 +326,34 @@ class TestMinimize:
         best = minimize_vk(flat, tensors, LoadSpec(), Compression(es))
         assert best.energy < e_flat - 1e-9 * abs(e_flat)
         assert best.max_abs_w() > 1e-3 * mesh.L
+
+
+class TestSaddleCheck:
+    def run(self, tensors):
+        state = minimize_vk(
+            PlateState(PlateMesh(6, 6, 1.0)), tensors,
+            LoadSpec(f=np.array([0, 0, 1e-2])), GammaClamped(),
+        )
+        return state.saddle_checks_unconverged
+
+    def test_unconverged_eigensolves_counted(self, tensors, monkeypatch):
+        assert self.run(tensors) >= 0
+        calls = []
+
+        def no_convergence(*args, **kwargs):
+            calls.append(1)
+            raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(spla, "eigsh", no_convergence)
+        assert self.run(tensors) == len(calls) >= 2  # one check per start
+
+    def test_other_errors_propagate(self, tensors, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("eigensolver failure")
+
+        monkeypatch.setattr(spla, "eigsh", broken)
+        with pytest.raises(RuntimeError, match="eigensolver failure"):
+            self.run(tensors)
 
 
 class TestBoundaryConditions:
