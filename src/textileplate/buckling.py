@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ParameterError, SolverError
 from .plate import (
@@ -26,6 +27,7 @@ from .plate import (
     hermite_1d,
     minimize_vk,
     solve_linear,
+    _newton,
     _perturbation_mode,
 )
 
@@ -145,63 +147,17 @@ class ReducedBeam:
         d1 = a * (-4.0 * es + 12.0 * vp**2)
         he = np.einsum("eq,qi,qj,q->eij", d1, self.B1, self.B1, self.wq)
         he += 2.0 * c * np.einsum("qi,qj,q->ij", self.B2, self.B2, self.wq)[None]
-        H = np.zeros((self.ndof, self.ndof))
         edof = self.edof
-        np.add.at(H, (edof[:, :, None], edof[:, None, :]), 0.5 * L * he)
-        return H
+        rows = np.repeat(edof, 4, axis=1).ravel()
+        cols = np.tile(edof, (1, 4)).ravel()
+        H = sp.coo_matrix(((0.5 * L * he).ravel(), (rows, cols)), shape=(self.ndof,) * 2)
+        return H.tocsr()
 
     def interpolate(self, fn, dfn):
         u = np.zeros(self.ndof)
         u[0::2] = fn(self.x)
         u[1::2] = dfn(self.x)
         return u
-
-    def minimize(self, u0, tol=1e-9, max_iter=100):
-        u = u0.copy()
-        energy = self.energy(u)
-        free = self.free
-        stalls = 0
-        for _ in range(max_iter):
-            g = self.gradient(u)
-            if np.linalg.norm(g[free]) <= tol * (1.0 + abs(energy)):
-                return u, energy
-            H = self.hessian(u)[np.ix_(free, free)]
-            gf = g[free]
-            tau = 0.0
-            base = np.abs(np.diag(H)).max()
-            step = None
-            for _ in range(14):
-                try:
-                    p = np.linalg.solve(H + tau * np.eye(H.shape[0]), -gf)
-                except np.linalg.LinAlgError:
-                    p = None
-                if p is not None and p @ gf < 0:
-                    step = p
-                    break
-                tau = max(1e-10 * base, 4.0 * tau) if tau else 1e-10 * base
-            if step is None:
-                step = -gf
-            t = 1.0
-            slope = step @ gf
-            old = energy
-            for _ in range(60):
-                trial = u.copy()
-                trial[free] += t * step
-                e_new = self.energy(trial)
-                if e_new <= energy + 1e-4 * t * slope:
-                    u, energy = trial, e_new
-                    break
-                t *= 0.5
-            else:
-                return u, energy
-            # progress below the floating-point floor counts as converged
-            if old - energy <= 1e-15 * (1.0 + abs(energy)):
-                stalls += 1
-                if stalls >= 3:
-                    return u, energy
-            else:
-                stalls = 0
-        raise SolverError("reduced 1D Newton did not converge")
 
 
 @dataclass
@@ -238,7 +194,7 @@ def reduced_1d_solve(case, n_elements=64, newton_tol=1e-10):
 
     candidates = []
     for u0 in (np.zeros(beam.ndof), beam.interpolate(seed, dseed)):
-        u, energy = beam.minimize(u0, tol=newton_tol)
+        u, energy, _ = _newton(beam, u0, beam.free, newton_tol)
         candidates.append((energy, u))
     energy, u = min(candidates, key=lambda t: t[0])
     slack = 1e-12 * (1.0 + abs(e_flat))

@@ -532,32 +532,23 @@ def _escape_negative_curvature(op, u, free, energy, stats):
     return best
 
 
-def _newton(op, u0, free, tol, stats, max_iter=200):
+def _newton(op, u0, free, tol, max_iter=200):
     """Damped Newton with Armijo backtracking; returns (u, energy, trace).
 
-    Converged critical points are checked for negative curvature and, if a
-    descent direction remains, the iteration restarts from the escaped
-    point, so only (local) minimizers are returned. Saddle checks whose
-    eigensolve does not converge are counted in `stats`.
+    Stops at the first critical point, which may be a saddle. `op` is any
+    object with `energy`, `gradient` and a sparse `hessian`; the Hessian is
+    shifted by a multiple of the identity until the step is a descent
+    direction.
     """
     u = u0.copy()
     energy = op.energy(u)
     trace = [energy]
     scale_cap = 1e12 * (1.0 + abs(energy))
     stalls = 0
-    escapes = 0
     for _ in range(max_iter):
         g = op.gradient(u)
         gn = float(np.linalg.norm(g[free]))
         if gn <= tol * (1.0 + abs(energy)):
-            if escapes < 6:
-                escaped = _escape_negative_curvature(op, u, free, energy, stats)
-                if escaped is not None:
-                    energy, u = escaped
-                    trace.append(energy)
-                    escapes += 1
-                    stalls = 0
-                    continue
             return u, energy, trace
         H = op.hessian(u)
         Hff = H[np.ix_(free, free)].tocsc()
@@ -594,16 +585,6 @@ def _newton(op, u0, free, tol, stats, max_iter=200):
         if not accepted:
             # stagnated line search: accept convergence if gradient is tiny
             if gn <= 100 * tol * (1.0 + abs(energy)):
-                escaped = (
-                    _escape_negative_curvature(op, u, free, energy, stats)
-                    if escapes < 6 else None
-                )
-                if escaped is not None:
-                    energy, u = escaped
-                    trace.append(energy)
-                    escapes += 1
-                    stalls = 0
-                    continue
                 return u, energy, trace
             raise SolverError(f"line search failed at gradient norm {gn:.3e}")
         if old - energy <= 1e-15 * (1.0 + abs(energy)):
@@ -628,6 +609,9 @@ def minimize_vk(initial, tensors, load=None, bc=None, newton_tol=1e-9,
     admissible bending perturbation; returns the lowest-energy converged
     state (ties resolved toward the earlier start). `extra_starts` may add
     further initial dof vectors (e.g. amplitude-seeded buckling modes).
+    Each critical point Newton reaches is checked for negative curvature;
+    up to six times per start, the iteration restarts from the escaped
+    point, so only (local) minimizers are returned.
     The returned state carries `saddle_checks_unconverged`, the number of
     saddle checks over all starts whose eigensolve did not converge.
     """
@@ -650,7 +634,15 @@ def minimize_vk(initial, tensors, load=None, bc=None, newton_tol=1e-9,
     stats = {"saddle_checks_unconverged": 0}
     for u0 in starts:
         try:
-            u, energy, trace = _newton(op, u0, free, newton_tol, stats, max_iter)
+            u, energy, trace = _newton(op, u0, free, newton_tol, max_iter)
+            # a critical point with negative curvature is a saddle: step off
+            # it and minimize again
+            for _ in range(6):
+                escaped = _escape_negative_curvature(op, u, free, energy, stats)
+                if escaped is None:
+                    break
+                u, energy, more = _newton(op, escaped[1], free, newton_tol, max_iter)
+                trace += more
             results.append((energy, u, trace))
         except SolverError as err:
             failures.append(str(err))

@@ -131,7 +131,7 @@ class TestReduced1D:
             [(beam.gradient(u + d) - beam.gradient(u - d)) / (2 * h) for d in steps]
         )
         g = beam.gradient(u)
-        H = beam.hessian(u)
+        H = beam.hessian(u).toarray()
         assert np.abs(g - g_fd).max() <= 1e-6 * np.abs(g).max()
         assert np.abs(H - H_fd).max() <= 1e-6 * np.abs(H).max()
         assert np.array_equal(H, H.T)
