@@ -453,6 +453,24 @@ def assemble_linear(mesh, tensors, load=None):
     return op.hessian(zero), op.gradient(zero)
 
 
+def factor_symmetric(H):
+    """Sparse LU of a symmetric matrix in SuperLU's symmetric mode.
+
+    Minimum-degree ordering on the pattern of H + H^T and diagonal pivots
+    (no threshold pivoting). Returns the SuperLU object; a singular factor
+    raises SolverError.
+    """
+    try:
+        return spla.splu(
+            H.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True),
+        )
+    except RuntimeError as err:
+        if "singular" not in str(err):
+            raise
+        raise SolverError(f"sparse factorization failed: {err}") from err
+
+
 def solve_linear(mesh, tensors, load=None, bc=None, return_energy=False):
     """Solve the linear homogenized plate problem on the given space.
 
@@ -467,8 +485,7 @@ def solve_linear(mesh, tensors, load=None, bc=None, return_energy=False):
     free[idx] = False
     K = op.hessian(state.u)
     g = op.gradient(state.u)
-    Kff = K[np.ix_(free, free)].tocsc()
-    du = spla.spsolve(Kff, -g[free])
+    du = factor_symmetric(K[np.ix_(free, free)]).solve(-g[free])
     if not np.all(np.isfinite(du)):
         raise SolverError("linear plate system is singular on the active space")
     state.u[free] += du
@@ -559,8 +576,8 @@ def _newton(op, u0, free, tol, max_iter=200):
         for _ in range(12):
             try:
                 Hmod = Hff if tau == 0.0 else Hff + tau * sp.identity(Hff.shape[0])
-                p = spla.spsolve(Hmod, -gf)
-            except Exception:
+                p = factor_symmetric(Hmod).solve(-gf)
+            except SolverError:
                 p = None
             if p is not None and np.all(np.isfinite(p)) and p @ gf < 0:
                 step = p
