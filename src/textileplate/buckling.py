@@ -150,7 +150,9 @@ class ReducedBeam:
         edof = self.edof
         rows = np.repeat(edof, 4, axis=1).ravel()
         cols = np.tile(edof, (1, 4)).ravel()
-        H = sp.coo_matrix(((0.5 * L * he).ravel(), (rows, cols)), shape=(self.ndof,) * 2)
+        H = sp.coo_matrix(
+            ((0.5 * L * he).ravel(), (rows, cols)), shape=(self.ndof,) * 2
+        )
         return H.tocsr()
 
     def interpolate(self, fn, dfn):
@@ -319,10 +321,13 @@ def sweep_buckling_2d(tensors, L, e_star_values, nx=16, ny=16, newton_tol=1e-9,
                 a = mid
         critical = 0.5 * (a + b)
 
+    # C* from the flat branch at the largest strain, which a row already holds
     e_ref = max(es_sorted[-1], 1e-3)
-    _, e_flat_ref = solve_linear(
-        mesh, tensors, LoadSpec(), Compression(e_ref), return_energy=True
-    )
+    e_flat_ref = next((r["energy_flat"] for r in rows if r["e_star"] == e_ref), None)
+    if e_flat_ref is None:
+        _, e_flat_ref = solve_linear(
+            mesh, tensors, LoadSpec(), Compression(e_ref), return_energy=True
+        )
     c_star = e_flat_ref / e_ref**2
 
     bracket_violation = None

@@ -652,8 +652,6 @@ def minimize_vk(initial, tensors, load=None, bc=None, newton_tol=1e-9,
     for u0 in starts:
         try:
             u, energy, trace = _newton(op, u0, free, newton_tol, max_iter)
-            # a critical point with negative curvature is a saddle: step off
-            # it and minimize again
             for _ in range(6):
                 escaped = _escape_negative_curvature(op, u, free, energy, stats)
                 if escaped is None:

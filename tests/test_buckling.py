@@ -185,6 +185,17 @@ class TestReduced1D:
             0.5 * case.a11 * case.L**2 * case.e_star**2, rel=1e-12
         )
 
+    def test_driver_runs_no_saddle_check(self, monkeypatch):
+        from textileplate import plate
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("saddle check called")
+
+        monkeypatch.setattr(plate.spla, "eigsh", broken)
+        assert reduced_1d_solve(CompressionCase(2.4, np.pi, 1.0, 1.0), 48).is_buckled
+        ec = find_critical_1d(1.0, 1.0, np.pi, n_elements=48, rel_tol=0.01)
+        assert ec == pytest.approx(2.0, rel=0.02)
+
     def test_bracketing_random_cases(self):
         rng = np.random.default_rng(42)
         for _ in range(20):

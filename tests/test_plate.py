@@ -1,7 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from textileplate import plate
+from textileplate.buckling import CompressionCase, analytic_thresholds
+from textileplate.errors import SolverError
 from textileplate.homogenize import PlateTensors, _tensor_from_matrix
 from textileplate.plate import (
     Compression,
@@ -13,6 +19,7 @@ from textileplate.plate import (
     PlateState,
     apply_bc,
     assemble_linear,
+    factor_symmetric,
     fixed_dofs,
     linear_energy,
     minimize_vk,
@@ -354,6 +361,81 @@ class TestSaddleCheck:
         monkeypatch.setattr(spla, "eigsh", broken)
         with pytest.raises(RuntimeError, match="eigensolver failure"):
             self.run(tensors)
+
+
+def free_mask(mesh, bc):
+    free = np.ones(mesh.ndof, dtype=bool)
+    free[fixed_dofs(mesh, bc)[0]] = False
+    return free
+
+
+class TestFactorSymmetric:
+    def assert_matches_dense(self, H):
+        b = np.random.default_rng(5).standard_normal(H.shape[0])
+        x = factor_symmetric(H).solve(b)
+        x_dense = np.linalg.solve(H.toarray(), b)
+        assert np.linalg.norm(x - x_dense) <= 1e-10 * np.linalg.norm(x_dense)
+
+    def test_definite_linear_stiffness(self, mesh, tensors):
+        K, _ = assemble_linear(mesh, tensors)
+        free = free_mask(mesh, GammaClamped())
+        self.assert_matches_dense(K[np.ix_(free, free)])
+
+    def test_indefinite_compression_hessian(self, mesh, tensors):
+        case = CompressionCase.from_tensors(0.0, mesh.L, tensors)
+        bc = Compression(1.05 * analytic_thresholds(case)[1])
+        flat = solve_linear(mesh, tensors, LoadSpec(), bc)
+        free = free_mask(mesh, bc)
+        H = PlateOperator(mesh, tensors).hessian(flat.u)[np.ix_(free, free)]
+        assert np.linalg.eigvalsh(H.toarray())[0] < 0
+        self.assert_matches_dense(H)
+
+    def test_singular_raises_solver_error(self):
+        with pytest.raises(SolverError):
+            factor_symmetric(sp.diags([2.0, 0.0, 3.0]))
+
+    def test_other_errors_propagate(self, tensors, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("factorization failure")
+
+        monkeypatch.setattr(plate.spla, "splu", broken)
+        with pytest.raises(TypeError, match="factorization failure"):
+            minimize_vk(
+                PlateState(PlateMesh(6, 6, 1.0)), tensors,
+                LoadSpec(f=np.array([0, 0, 1e-2])), GammaClamped(),
+            )
+
+
+class _CountingSpla:
+    """Counts the calls made through a module's `spla` attribute."""
+
+    def __init__(self, target):
+        self.target = target
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(self.target, name)
+        if isinstance(attr, type) or not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+def test_sparse_calls_go_through_plate_spla(tensors, monkeypatch):
+    """Factorizations and saddle checks are reached through `plate.spla`."""
+    proxy = _CountingSpla(plate.spla)
+    monkeypatch.setattr(plate, "spla", proxy)
+    mesh = PlateMesh(6, 6, 1.0)
+    load = LoadSpec(f=np.array([0, 0, 1e-2]))
+    solve_linear(mesh, tensors, load, GammaClamped())
+    minimize_vk(PlateState(mesh), tensors, load, GammaClamped())
+    assert proxy.calls["splu"] >= 1
+    assert proxy.calls["eigsh"] >= 1
+    assert proxy.calls["spsolve"] == 0
 
 
 class TestBoundaryConditions:
