@@ -49,6 +49,7 @@ from .homogenize import (
     check_orthotropy,
     compute_plate_tensors,
     corrector_symmetry_report,
+    prestress_corrector,
     solve_cell_problems,
     solve_prestress,
 )

@@ -23,6 +23,7 @@ from .homogenize import (
     check_orthotropy,
     compute_plate_tensors,
     corrector_symmetry_report,
+    prestress_corrector,
     solve_cell_problems,
     solve_prestress,
     tensors_from_json,
@@ -97,12 +98,12 @@ def _input_digest(cfg, args, tensor):
 
 
 def cmd_homog(cfg, args, out):
+    samples = cfg.prestrain_samples()
     mesh, tensor, correctors, tensors = _homogenize(cfg, args)
-    tol = args.tol if args.tol else 1e-6
     isotropic = _is_isotropic(cfg)
     if isotropic:
-        ortho = check_orthotropy(tensors, tol=tol)
-        sym = corrector_symmetry_report(correctors, tol=tol) if mesh.kind == "cell" else {}
+        ortho = check_orthotropy(tensors, tol=args.tol)
+        sym = corrector_symmetry_report(correctors, tol=args.tol) if mesh.kind == "cell" else {}
         symmetry_report = {
             "status": "checked",
             "orthotropy": {k: {"pass": ok, "residual": v} for k, (ok, v) in ortho.items()},
@@ -117,32 +118,26 @@ def cmd_homog(cfg, args, out):
         "mesh_kind": mesh.kind,
         "input_digest": _input_digest(cfg, args, tensor),
     }
+    fields = correctors.fields()
     if cfg.prestress_e_star is not None:
-        chi_p, eff, info = solve_prestress(
-            mesh, tensor, cfg.prestrain_matrix(), correctors, tensors, cg_tol=cfg.cg_tol
-        )
-        correctors.chi_p = chi_p
+        e_star = cfg.prestrain_matrix()
+        eff, info = solve_prestress(correctors, tensors, tensor, e_star)
+        chi_p, printed = prestress_corrector(correctors, tensors, tensor, e_star, cfg.cg_tol)
+        fields = {**fields, "chi_p": chi_p}
         doc_extra["effective_prestrain"] = eff.tolist()
-        doc_extra["effective_prestrain_printed_variant"] = info[
-            "effective_prestrain_printed"
-        ].tolist()
+        doc_extra["effective_prestrain_printed_variant"] = printed.tolist()
         doc_extra["prestrain_bending_coupling"] = info["bending_coupling_rhs"].tolist()
-    samples = cfg.prestrain_samples()
     if samples is not None:
-        from .homogenize import effective_prestrain_table
-
-        table = effective_prestrain_table(
-            mesh, tensor, samples, correctors, tensors, cg_tol=cfg.cg_tol
-        )
         lines = ["x1,x2,E11,E22,E12"]
-        for x, eff in table:
+        for x, e_star in samples:
+            eff, _ = solve_prestress(correctors, tensors, tensor, e_star)
             lines.append(
                 f"{x[0]:.17g},{x[1]:.17g},{eff[0, 0]:.17g},"
                 f"{eff[1, 1]:.17g},{eff[0, 1]:.17g}"
             )
         _write(out / "effective_prestrain.csv", "\n".join(lines) + "\n")
     _write(out / "tensors.json", tensors_to_json(tensors, doc_extra) + "\n")
-    export_vtk(mesh, correctors.fields(), out / "correctors.vtk")
+    export_vtk(mesh, fields, out / "correctors.vtk")
     print(f"cell volume {tensors.cell_volume:.6g}")
     print("a_hom[11,22,12]:")
     for row in tensors.matrix("a"):
@@ -159,30 +154,29 @@ def cmd_homog(cfg, args, out):
     return 0
 
 
-def _load_or_compute_tensors(cfg, args, out):
+def _load_or_compute_tensors(cfg, args, out, tensors=None):
     """Reuse out/tensors.json only when its input digest matches this run;
-    otherwise homogenize again and overwrite it."""
+    otherwise overwrite it with `tensors`, homogenizing when none are given."""
     path = out / "tensors.json"
     digest = _input_digest(cfg, args, cfg.elastic_tensor())
     if path.exists():
         text = path.read_text()
         if json.loads(text).get("input_digest") == digest:
             return tensors_from_json(text)
-    _, _, _, tensors = _homogenize(cfg, args)
+    if tensors is None:
+        _, _, _, tensors = _homogenize(cfg, args)
     _write(path, tensors_to_json(tensors, {"input_digest": digest}) + "\n")
     return tensors
 
 
 def cmd_plate(cfg, args, out):
-    tensors = _load_or_compute_tensors(cfg, args, out)
-    mesh = pl.PlateMesh(cfg.plate_nx, cfg.plate_ny, cfg.L)
-    pre = None
+    pre = fresh = None
     if cfg.prestress_e_star is not None:
-        params = cfg.weave_params()
-        tensor = cfg.elastic_tensor()
-        cell = build_solid_cell_mesh(params) if args.solid_cell else build_cell_mesh(params)
-        _, eff, _ = solve_prestress(cell, tensor, cfg.prestrain_matrix(), cg_tol=cfg.cg_tol)
-        pre = eff
+        # the pre-strain needs the membrane correctors, which are not cached
+        _, tensor, correctors, fresh = _homogenize(cfg, args)
+        pre, _ = solve_prestress(correctors, fresh, tensor, cfg.prestrain_matrix())
+    tensors = _load_or_compute_tensors(cfg, args, out, fresh)
+    mesh = pl.PlateMesh(cfg.plate_nx, cfg.plate_ny, cfg.L)
     load = pl.LoadSpec(f=np.array(cfg.plate_f), pre_strain=pre)
     bc = pl.GammaClamped() if cfg.plate_bc == "gamma" else pl.Compression(cfg.compression_e_star)
     if cfg.plate_model == "linear":
@@ -325,10 +319,12 @@ def main(argv=None):
                        help="replace the weave by the full solid plate cell")
         p.add_argument("--full", action="store_true",
                        help="also build the full textile patch (geom)")
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=float, default=1e-6,
                        help="tolerance for symmetry checks")
     args = parser.parse_args(argv)
     try:
+        if not 0.0 < args.tol < np.inf:
+            raise ConfigError(f"--tol: must be a positive finite number, got {args.tol}")
         cfg = load_config(args.config)
         out = Path(args.out or cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)

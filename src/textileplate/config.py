@@ -113,6 +113,8 @@ class RunConfig:
             fail("verify.n_periods", "needs positive period counts")
         if self.prestress_e_star is not None and len(self.prestress_e_star) != 6:
             fail("prestress.e_star", "needs 6 components e11,e22,e33,e12,e13,e23")
+        if self.prestress_e_star is not None and not np.isfinite(self.prestress_e_star).all():
+            fail("prestress.e_star", "components must be finite")
         return self
 
     def prestrain_matrix(self):
@@ -137,6 +139,8 @@ class RunConfig:
                         f"prestress.csv line {lineno}: expected "
                         "x1,x2,e11,e22,e33,e12,e13,e23"
                     )
+                if not np.isfinite(vals).all():
+                    raise ConfigError(f"prestress.csv line {lineno}: values must be finite")
                 x1, x2, e11, e22, e33, e12, e13, e23 = vals
                 samples.append(
                     (

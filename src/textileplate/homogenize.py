@@ -51,7 +51,6 @@ class CorrectorSet:
     mesh: object
     chi_m: dict
     chi_b: dict
-    chi_p: np.ndarray = None
     alphas: dict = field(default_factory=dict)
     solve_info: dict = field(default_factory=dict)
     cg_tol: float = 1e-10
@@ -59,8 +58,6 @@ class CorrectorSet:
     def fields(self):
         out = {f"chi_m_{a}{b}": self.chi_m[(a, b)] for a, b in PAIRS}
         out.update({f"chi_b_{a}{b}": self.chi_b[(a, b)] for a, b in PAIRS})
-        if self.chi_p is not None:
-            out["chi_p"] = self.chi_p
         return out
 
 
@@ -101,12 +98,6 @@ def _tensor_from_matrix(M):
                 for qq in {q, q[::-1]}:
                     T[pp + qq] = M[i, j]
     return T
-
-
-def _embed(m2):
-    out = np.zeros((3, 3))
-    out[:2, :2] = m2
-    return out
 
 
 def solve_cell_problems(mesh, tensor, cg_tol=1e-10):
@@ -159,7 +150,7 @@ def compute_plate_tensors(correctors, tensor):
 
     total_m, total_b, unit_bend = {}, {}, {}
     for a, b in PAIRS:
-        M = _embed(UNIT_STRAINS[(a, b)][:2, :2])
+        M = UNIT_STRAINS[(a, b)]
         total_m[(a, b)] = strains[f"chi_m_{a}{b}"] + M
         total_b[(a, b)] = strains[f"chi_b_{a}{b}"] - y3[..., None, None] * M
         unit_bend[(a, b)] = y3[..., None, None] * np.broadcast_to(M, total_m[(a, b)].shape)
@@ -180,7 +171,7 @@ def compute_plate_tensors(correctors, tensor):
     c_printed = np.zeros((3, 3))
     for i, p in enumerate(PAIRS):
         for j, q in enumerate(PAIRS):
-            Mq = _embed(UNIT_STRAINS[q][:2, :2])
+            Mq = UNIT_STRAINS[q]
             ones = np.broadcast_to(Mq, total_m[q].shape)
             A[i, j] = inner(stress_m[p], total_m[q])
             B[i, j] = inner(stress_m[p], total_b[q])
@@ -315,92 +306,70 @@ def corrector_symmetry_report(correctors, tol=1e-6, relations=None):
     return report
 
 
-def solve_prestress(mesh, tensor, e_star, correctors=None, tensors=None, cg_tol=1e-10):
-    """Pre-stress corrector and effective in-plane pre-strain.
-
-    The corrector solves < a e(chi_p) : e(w) > = < a e* : e(w) >. The
-    effective pre-strain is obtained from the variationally consistent
-    weighting by the membrane correctors,
-
-        a_hom : E* = < a e* : (M' + e(chi_m')) > / |cell|,
-
-    while the single-corrector variant weighting by chi_p is evaluated and
-    reported alongside. Returns (chi_p, E* (2,2), info dict).
-    """
+def _prestrain(e_star):
     e_star = np.asarray(e_star, dtype=float)
     if e_star.shape != (3, 3) or not np.allclose(e_star, e_star.T):
         raise ParameterError("pre-strain must be a symmetric 3x3 matrix")
-    if correctors is None:
-        correctors = solve_cell_problems(mesh, tensor, cg_tol=cg_tol)
-    if tensors is None:
-        tensors = compute_plate_tensors(correctors, tensor)
+    return e_star
+
+
+def _weigh_by_prestress(mesh, tensor, e_star, fields):
+    """(11, 22, 12) vector of < a e* : fields[i] > / |cell| over PAIRS.
+
+    Each field carries the full unit matrix of its pair, so the shear entry,
+    contracted with both off-diagonal entries, is halved.
+    """
+    quad = mesh.quad_data()
+    sig_star = stress_field(mesh, tensor, np.broadcast_to(e_star, fields[0].shape))
+    rhs = np.array(
+        [float(np.einsum("eqij,eqij,eq->", sig_star, f, quad.wdet)) / quad.volume for f in fields]
+    )
+    return np.array([1.0, 1.0, 0.5]) * rhs
+
+
+def _symmetric_2x2(v):
+    return np.array([[v[0], v[2]], [v[2], v[1]]])
+
+
+def solve_prestress(correctors, tensors, tensor, e_star):
+    """Effective in-plane pre-strain of the cell eigenstrain e*.
+
+    It is the variationally consistent weighting by the membrane correctors,
+
+        a_hom : E* = < a e* : (M' + e(chi_m')) > / |cell|,
+
+    so no pre-stress corrector is solved. Returns (E* (2,2), info) with
+    info["bending_coupling_rhs"] = < a e* : (-y3 M' + e(chi_b')) > / |cell|.
+    """
+    e_star = _prestrain(e_star)
+    mesh = correctors.mesh
+    strains = _corrector_strains(mesh, correctors.fields(), correctors.alphas)
+    y3 = mesh.quad_data().points[..., 2][..., None, None]
+    membrane = [strains[f"chi_m_{a}{b}"] + UNIT_STRAINS[(a, b)] for a, b in PAIRS]
+    bending = [strains[f"chi_b_{a}{b}"] - y3 * UNIT_STRAINS[(a, b)] for a, b in PAIRS]
+    rhs = _weigh_by_prestress(mesh, tensor, e_star, membrane)
+    info = {"bending_coupling_rhs": _weigh_by_prestress(mesh, tensor, e_star, bending)}
+    return _symmetric_2x2(tensors.solve_membrane(rhs)), info
+
+
+def prestress_corrector(correctors, tensors, tensor, e_star, cg_tol=1e-10):
+    """Pre-stress corrector and the single-corrector pre-strain variant.
+
+    The corrector solves < a e(chi_p) : e(w) > = < a e* : e(w) >; the
+    variant weighs by chi_p in place of the membrane correctors,
+
+        a_hom : E*_printed = < a e* : (M' + e(chi_p)) > / |cell|.
+
+    Returns (chi_p (N,3), E*_printed (2,2)).
+    """
+    e_star = _prestrain(e_star)
+    mesh = correctors.mesh
     constraints = ConstraintMap.periodic(mesh, mean_zero=True)
     system = assemble(mesh, tensor, constraints, [EigenstrainLoad(e_star)])
-    chi_p_flat, _ = solve(system, rhs=0, tol=cg_tol)
-    chi_p = chi_p_flat.reshape(-1, 3)
-    alpha_p = system.recover_alpha(chi_p_flat, rhs_index=0)
-
-    strains = _corrector_strains(
-        mesh,
-        {**correctors.fields(), "chi_p": chi_p},
-        {**correctors.alphas, "chi_p": alpha_p},
-    )
-    quad = mesh.quad_data()
-    vol = quad.volume
-    y3 = quad.points[..., 2]
-    estar_field = np.broadcast_to(e_star, strains["chi_p"].shape)
-    sig_star = stress_field(mesh, tensor, estar_field)
-
-    def weigh(field):
-        return float(np.einsum("eqij,eqij,eq->", sig_star, field, quad.wdet)) / vol
-
-    rhs = np.zeros(3)
-    rhs_printed = np.zeros(3)
-    rhs_bending = np.zeros(3)
-    for i, p in enumerate(PAIRS):
-        M = _embed(UNIT_STRAINS[p][:2, :2])
-        ones = np.ones_like(y3)[..., None, None]
-        rhs[i] = weigh(strains[f"chi_m_{p[0]}{p[1]}"] + M * ones)
-        rhs_printed[i] = weigh(strains["chi_p"] + M * ones)
-        rhs_bending[i] = weigh(
-            strains[f"chi_b_{p[0]}{p[1]}"] - y3[..., None, None] * M
-        )
-    # shear rows were contracted with both entries of the unit matrix
-    half_shear = np.array([1.0, 1.0, 0.5])
-    rhs, rhs_printed, rhs_bending = (
-        half_shear * v for v in (rhs, rhs_printed, rhs_bending)
-    )
-    evec = tensors.solve_membrane(rhs)
-    evec_printed = tensors.solve_membrane(rhs_printed)
-    E = np.array([[evec[0], evec[2]], [evec[2], evec[1]]])
-    info = {
-        "effective_prestrain_printed": np.array(
-            [[evec_printed[0], evec_printed[2]], [evec_printed[2], evec_printed[1]]]
-        ),
-        "bending_coupling_rhs": rhs_bending,
-        "consistent_vs_printed": float(np.abs(evec - evec_printed).max()),
-    }
-    return chi_p, E, info
-
-
-def effective_prestrain_table(mesh, tensor, samples, correctors=None, tensors=None,
-                              cg_tol=1e-10):
-    """Effective pre-strain for a sampled, macroscopically varying eigenstrain.
-
-    `samples` is a sequence of (x', e*) with x' a 2-vector and e* a
-    symmetric 3x3 matrix; one cell solve is performed per sample point.
-    Returns a list of (x', 2x2 effective pre-strain).
-    """
-    if correctors is None:
-        correctors = solve_cell_problems(mesh, tensor, cg_tol=cg_tol)
-    if tensors is None:
-        tensors = compute_plate_tensors(correctors, tensor)
-    table = []
-    for x, e_star in samples:
-        _, eff, _ = solve_prestress(mesh, tensor, e_star, correctors, tensors,
-                                    cg_tol=cg_tol)
-        table.append((np.asarray(x, dtype=float), eff))
-    return table
+    u, _ = solve(system, rhs=0, tol=cg_tol)
+    strain = strain_field(mesh, u, system.recover_alpha(u, rhs_index=0))
+    rhs = _weigh_by_prestress(mesh, tensor, e_star, [strain + UNIT_STRAINS[p] for p in PAIRS])
+    return u.reshape(-1, 3), _symmetric_2x2(tensors.solve_membrane(rhs))
 
 
 def corrector_mean_defect(correctors):

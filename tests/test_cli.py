@@ -65,6 +65,11 @@ class TestConfig:
         cfg = parse_config(BASE + "\nprestress.e_star = 1,0,0,0,0,0")
         assert cfg.prestrain_matrix()[0, 0] == 1.0
 
+    def test_non_finite_prestrain_named(self):
+        for value in ("inf", "nan"):
+            with pytest.raises(ConfigError, match="prestress.e_star"):
+                parse_config(BASE + f"\nprestress.e_star = 0,{value},0,0,0,0")
+
 
 class TestGeomCommand:
     def test_writes_cell_and_report(self, tmp_path):
@@ -135,6 +140,13 @@ class TestHomogCommand:
         assert rc == 0
         doc = json.loads((out / "tensors.json").read_text())
         assert "not applicable" in doc["symmetry_report"]["status"]
+
+    def test_non_positive_tol_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, BASE)
+        for tol in ("0", "-1e-6"):
+            rc = main(["homog", "--config", cfg, "--out", str(tmp_path / "o"), f"--tol={tol}"])
+            assert rc == 2
+            assert "--tol" in capsys.readouterr().err
 
 
 class TestPlateCommand:
@@ -216,6 +228,35 @@ class TestPrestressPipeline:
         assert vals[0][2] == pytest.approx(1.0, abs=1e-6)  # E11 at first sample
         assert vals[1][3] == pytest.approx(1.0, abs=1e-6)  # E22 at second
 
+    def test_out_of_plane_prestrain_has_no_in_plane_part(self, tmp_path):
+        # e33, e13 and e23 are strains of the periodic trilinear field y3*e_i,
+        # which the membrane cell problems annihilate
+        csv = tmp_path / "samples.csv"
+        csv.write_text(
+            "x1,x2,e11,e22,e33,e12,e13,e23\n"
+            "0.5,0.5,0,0,1,0,0,0\n"
+            "0.5,0.5,0,0,0,0,1,0\n"
+            "0.5,0.5,0,0,0.7,0,-0.4,0.9\n"
+        )
+        cfg = write_cfg(tmp_path, BASE + f"\nprestress.csv = {csv}\n")
+        out = tmp_path / "oop"
+        assert main(["homog", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "effective_prestrain.csv").read_text().splitlines()[1:]
+        vals = np.array([list(map(float, r.split(","))) for r in rows])
+        assert len(vals) == 3
+        assert np.abs(vals[:, 2:]).max() < 1e-8
+
+    def test_non_finite_prestrain_rejected(self, tmp_path, capsys):
+        for value in ("inf", "nan"):
+            csv = tmp_path / "samples.csv"
+            csv.write_text(f"x1,x2,e11,e22,e33,e12,e13,e23\n0.5,0.5,{value},0,0,0,0,0\n")
+            cfg = write_cfg(tmp_path, BASE + f"\nprestress.csv = {csv}\n")
+            assert main(["homog", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+            assert "prestress.csv line 2" in capsys.readouterr().err
+            cfg = write_cfg(tmp_path, BASE + f"\nprestress.e_star = {value},0,0,0,0,0\n")
+            assert main(["plate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+            assert "prestress.e_star" in capsys.readouterr().err
+
     def test_vk_plate_with_prestrain(self, tmp_path):
         text = BASE.replace("plate.model = linear", "plate.model = vk")
         text += "\nprestress.e_star = 0.001,0.001,0.001,0,0,0\n"
@@ -227,6 +268,45 @@ class TestPrestressPipeline:
         assert doc["model"] == "vk"
         assert np.isfinite(doc["energy"])
         assert len(doc["convergence_trace"]) >= 1
+
+
+class TestWorkCounts:
+    """The pre-strain reuses the membrane correctors: one 3D assembly per
+    command. Wrapped at the bindings the program calls through."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from textileplate import homogenize
+
+        counts = {}
+        for module, name in ((homogenize, "assemble"), (homogenize, "solve"),
+                             (cli, "solve_prestress")):
+            counts[name] = 0
+
+            def wrapper(*args, _inner=getattr(module, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+        return counts
+
+    def test_homog_with_sampled_prestrain(self, tmp_path, counts):
+        csv = tmp_path / "samples.csv"
+        csv.write_text(
+            "x1,x2,e11,e22,e33,e12,e13,e23\n"
+            "0.25,0.5,1,0,0,0,0,0\n"
+            "0.75,0.5,0,1,0,0,0,0\n"
+            "0.5,0.25,0,0,0,0.5,0,0\n"
+        )
+        cfg = write_cfg(tmp_path, BASE + f"\nprestress.csv = {csv}\n")
+        assert main(["homog", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert counts == {"assemble": 1, "solve": 6, "solve_prestress": 3}
+
+    def test_plate_with_prestrain_in_fresh_directory(self, tmp_path, counts):
+        cfg = write_cfg(tmp_path, BASE + "\nprestress.e_star = 0.001,0.001,0,0,0,0\n")
+        assert main(["plate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "tensors.json").exists()
+        assert counts["assemble"] == 1
 
 
 class TestBuckleCommand:

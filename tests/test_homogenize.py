@@ -18,6 +18,7 @@ from textileplate.homogenize import (
     compute_plate_tensors,
     corrector_mean_defect,
     corrector_symmetry_report,
+    prestress_corrector,
     solve_cell_problems,
     solve_prestress,
     tensors_from_json,
@@ -219,26 +220,27 @@ class TestCorrectorSymmetries:
 
 class TestPrestress:
     def test_zero_prestrain(self, solid_setup, tensor):
-        mesh, cs, pt = solid_setup
-        chi_p, eff, _ = solve_prestress(mesh, tensor, np.zeros((3, 3)), cs, pt)
+        _, cs, pt = solid_setup
+        chi_p, _ = prestress_corrector(cs, pt, tensor, np.zeros((3, 3)))
+        eff, _ = solve_prestress(cs, pt, tensor, np.zeros((3, 3)))
         assert np.abs(chi_p).max() == 0.0
         assert np.abs(eff).max() == 0.0
 
     def test_unit_strain_pass_through(self, solid_setup, tensor):
-        mesh, cs, pt = solid_setup
+        _, cs, pt = solid_setup
         for M, expect in ((M11, np.diag([1.0, 0.0])), (M22, np.diag([0.0, 1.0]))):
-            _, eff, _ = solve_prestress(mesh, tensor, M, cs, pt)
+            eff, _ = solve_prestress(cs, pt, tensor, M)
             assert np.abs(eff - expect).max() < 1e-6
 
     def test_shear_pass_through(self, solid_setup, tensor):
-        mesh, cs, pt = solid_setup
-        _, eff, _ = solve_prestress(mesh, tensor, M12, cs, pt)
+        _, cs, pt = solid_setup
+        eff, _ = solve_prestress(cs, pt, tensor, M12)
         assert np.abs(eff - np.array([[0, 1.0], [1.0, 0]])).max() < 1e-6
 
     def test_isotropic_prestrain_on_weave(self, weave_setup, tensor):
-        mesh, cs, pt = weave_setup
+        _, cs, pt = weave_setup
         alpha = 0.37
-        _, eff, info = solve_prestress(mesh, tensor, alpha * np.eye(3), cs, pt)
+        eff, info = solve_prestress(cs, pt, tensor, alpha * np.eye(3))
         assert eff[0, 0] == pytest.approx(eff[1, 1], rel=1e-9)
         assert abs(eff[0, 1]) < 1e-9 * abs(eff[0, 0])
         # the pre-stress acts in plane: no bending coupling
@@ -246,10 +248,10 @@ class TestPrestress:
         assert np.abs(info["bending_coupling_rhs"]).max() < 1e-9 * scale
 
     def test_printed_variant_reported(self, solid_setup, tensor):
-        mesh, cs, pt = solid_setup
-        _, eff, info = solve_prestress(mesh, tensor, M11, cs, pt)
-        printed = info["effective_prestrain_printed"]
-        assert info["consistent_vs_printed"] > 1e-3
+        _, cs, pt = solid_setup
+        eff, _ = solve_prestress(cs, pt, tensor, M11)
+        _, printed = prestress_corrector(cs, pt, tensor, M11)
+        assert np.abs(eff - printed).max() > 1e-3
         assert printed.shape == (2, 2)
 
 
